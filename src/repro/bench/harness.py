@@ -361,8 +361,11 @@ def batch_write_microbenchmark(
     the per-key ``insert`` loop and to the other through
     ``batch_insert`` chunks of ``batch_size``.  ``op="remove"`` loads
     both on the full dataset and removes the sampled keys instead.
-    With ``verify`` (default), asserts the per-key success flags match
-    and spot-checks lookups on both indexes afterwards.
+    The two sides alternate chunk by chunk (scalar chunk, then the same
+    keys as one batch, and so on), so a drift in host speed during the
+    run charges both sides alike.  With ``verify`` (default), asserts
+    the per-key success flags match and spot-checks lookups on both
+    indexes afterwards.
     """
     if op not in ("insert", "remove"):
         raise ValueError(f"op must be 'insert' or 'remove', got {op!r}")
@@ -391,25 +394,26 @@ def batch_write_microbenchmark(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        start = time.perf_counter()
-        if op == "insert":
-            ins = scalar_idx.insert
-            scalar_flags = [ins(int(k), int(k)) for k in pending]
-        else:
-            rem = scalar_idx.remove
-            scalar_flags = [rem(int(k)) for k in pending]
-        scalar_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
+        ins, rem = scalar_idx.insert, scalar_idx.remove
+        scalar_flags: list = []
         batch_flags: list = []
+        scalar_seconds = batch_seconds = 0.0
         for i in range(0, len(pending), batch_size):
             chunk = pending[i : i + batch_size]
+            start = time.perf_counter()
+            if op == "insert":
+                scalar_flags.extend([ins(int(k), int(k)) for k in chunk])
+            else:
+                scalar_flags.extend([rem(int(k)) for k in chunk])
+            mid = time.perf_counter()
             if op == "insert":
                 flags = batch_idx.batch_insert(chunk, [int(k) for k in chunk])
             else:
                 flags = batch_idx.batch_remove(chunk)
             batch_flags.extend(bool(f) for f in flags)
-        batch_seconds = time.perf_counter() - start
+            end = time.perf_counter()
+            scalar_seconds += mid - start
+            batch_seconds += end - mid
     finally:
         if gc_was_enabled:
             gc.enable()

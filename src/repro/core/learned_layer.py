@@ -23,11 +23,18 @@ A :class:`GPLModel` is a gapped slot array:
 Modeled layout per model: 64-byte header, 16 B per slot (key+value),
 1 bit per slot of bitmap, 4 B per slot of versions — this is what the
 memory-overhead experiment (Fig. 8a) accounts.
+
+The layer keeps one flat slot store: a ``uint64`` key array and a
+``uint8`` state array holding every model's NumPy slot mirrors end to
+end.  Each model's ``np_keys``/``np_state`` are views of its own region,
+so a batch probe reads the whole layer with one gather.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
+import threading
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -44,27 +51,12 @@ _SLOT_BYTES = 16
 _VERSION_BYTES = 4
 
 
-def _merge_sorted(a: Iterator, b: Iterator) -> Iterator[tuple[int, object]]:
-    """Merge two sorted (key, value) iterators with disjoint keys."""
-    item_a = next(a, None)
-    item_b = next(b, None)
-    while item_a is not None and item_b is not None:
-        if item_a[0] <= item_b[0]:
-            yield item_a
-            item_a = next(a, None)
-        else:
-            yield item_b
-            item_b = next(b, None)
-    while item_a is not None:
-        yield item_a
-        item_a = next(a, None)
-    while item_b is not None:
-        yield item_b
-        item_b = next(b, None)
-
 EMPTY = 0
 FULL = 1
 TOMBSTONE = 2
+
+#: Mirror-store lock of models outside any layer (a layer binds its own).
+_STANDALONE_LOCK = threading.Lock()
 
 
 def model_bytes(n_slots: int) -> int:
@@ -96,7 +88,8 @@ class GPLModel:
         "expansion",
         "np_keys",
         "np_state",
-        "mutations",
+        "offset",
+        "store_lock",
         "_memory",
         "_tag",
     )
@@ -116,13 +109,14 @@ class GPLModel:
         self.keys: list[int | None] = [None] * n_slots
         self.values: list = [None] * n_slots
         self.occupied: list[bool] = [False] * n_slots
-        # NumPy mirrors of (key, slot state) kept in sync by every slot
-        # write — the "bulk bitmap-state read" substrate of the batch
-        # fast path (LayerSnapshot).  The seqlocked Python lists above
-        # stay authoritative for the concurrent scalar protocol.
+        # NumPy mirrors of (key, slot state) for the batch probe; the
+        # seqlocked lists above stay authoritative.  A layer rebinds them
+        # to its store region at ``offset`` (-1: standalone); mirror
+        # stores hold ``store_lock`` so none lands in a moved-out array.
         self.np_keys = np.zeros(n_slots, dtype=np.uint64)
         self.np_state = np.zeros(n_slots, dtype=np.uint8)  # EMPTY
-        self.mutations = 0
+        self.offset = -1
+        self.store_lock = _STANDALONE_LOCK
         self.versions = SlotVersionArray(n_slots)
         self.span = memory.alloc(model_bytes(n_slots), tag)
         self.fast_index = -1
@@ -198,9 +192,9 @@ class GPLModel:
         chaos.point("gpl.slot_fields")  # mid-write: key visible, value stale
         self.values[slot] = value
         self.occupied[slot] = True
-        self.np_keys[slot] = key
-        self.np_state[slot] = FULL
-        self.mutations += 1
+        with self.store_lock:
+            self.np_keys[slot] = key
+            self.np_state[slot] = FULL
         self.versions.write_end(slot)
         self._trace_write(slot)
 
@@ -212,9 +206,9 @@ class GPLModel:
         chaos.point("gpl.slot_fields")
         self.values[slot] = None
         self.occupied[slot] = tombstone
-        self.np_keys[slot] = 0
-        self.np_state[slot] = TOMBSTONE if tombstone else EMPTY
-        self.mutations += 1
+        with self.store_lock:
+            self.np_keys[slot] = 0
+            self.np_state[slot] = TOMBSTONE if tombstone else EMPTY
         self.versions.write_end(slot)
         self._trace_write(slot)
 
@@ -273,9 +267,9 @@ class GPLModel:
             else:
                 conflicts.append((k, values[i]))
         placed = slots[win]
-        self.np_keys[placed] = keys[win]
-        self.np_state[placed] = FULL
-        self.mutations += 1
+        with self.store_lock:
+            self.np_keys[placed] = keys[win]
+            self.np_state[placed] = FULL
         self.build_size = int(win.sum())
         self.last_key = int(keys[-1])
         return conflicts
@@ -310,61 +304,17 @@ class GPLModel:
         )
 
 
-class LayerSnapshot:
-    """Consolidated NumPy view of a :class:`LearnedLayer` for batch probes.
-
-    Concatenates every model's slot mirrors into flat arrays so an entire
-    key batch is routed (``np.searchsorted`` over model first-keys),
-    slot-predicted (``floor(slope * (key - first_key))`` vectorized) and
-    state-checked (bulk bitmap reads) with a handful of NumPy kernels —
-    Algorithm 2 lines 2-4 for the whole batch at once.
-
-    A snapshot is a *copy*: it stays internally consistent while the
-    layer mutates, and :meth:`LearnedLayer.snapshot` rebuilds it lazily
-    whenever any model reports new mutations.
-    """
-
-    __slots__ = ("models", "first_keys", "slopes", "n_slots", "offsets", "states", "keys")
-
-    def __init__(self, layer: "LearnedLayer"):
-        models = list(layer.models)
-        self.models = models
-        self.first_keys = np.array([m.first_key for m in models], dtype=np.uint64)
-        self.slopes = np.array([m.slope_eff for m in models], dtype=np.float64)
-        self.n_slots = np.array([m.n_slots for m in models], dtype=np.int64)
-        offsets = np.zeros(len(models), dtype=np.int64)
-        if len(models) > 1:
-            np.cumsum(self.n_slots[:-1], out=offsets[1:])
-        self.offsets = offsets
-        if models:
-            self.states = np.concatenate([m.np_state for m in models])
-            self.keys = np.concatenate([m.np_keys for m in models])
-        else:
-            self.states = np.empty(0, dtype=np.uint8)
-            self.keys = np.empty(0, dtype=np.uint64)
-
-    def probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized Algorithm-2 probe for a whole key batch.
-
-        Returns ``(model_idx, slot, state, resident_key)`` arrays, where
-        ``state``/``resident_key`` are the predicted slot's bitmap state
-        and stored key — bit-identical to per-key ``route`` + ``slot_of``
-        + ``read_slot`` on a quiescent layer.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        midx = np.searchsorted(self.first_keys, keys, side="right").astype(np.int64) - 1
-        np.clip(midx, 0, None, out=midx)
-        fk = self.first_keys[midx]
-        rel = keys - fk  # exact uint64 subtraction, as slot_of() does
-        rel[keys < fk] = 0  # keys left of model 0 clamp to slot 0
-        slots = (self.slopes[midx] * rel.astype(np.float64)).astype(np.int64)
-        np.clip(slots, 0, self.n_slots[midx] - 1, out=slots)
-        flat = self.offsets[midx] + slots
-        return midx, slots, self.states[flat], self.keys[flat]
-
-
 class LearnedLayer:
-    """Sorted flat array of GPL models plus the binary-searched upper model."""
+    """Sorted flat array of GPL models plus the binary-searched upper model.
+
+    The layer owns the slot store every model's mirrors are views of.
+    Bulk loading lays the models out end to end; a model added later
+    (overflow append, expansion swap) is copied to a fresh region at the
+    tail.  When the tail is full, the live regions are repacked into
+    arrays twice the live size, dropping the dead regions of replaced
+    models.  ``_store_lock`` serialises those region moves against the
+    models' mirror stores.
+    """
 
     def __init__(self, memory: MemoryMap | None = None, tag: str = "alt/learned", gap: float = 2.0):
         self._memory = memory or global_memory()
@@ -374,9 +324,11 @@ class LearnedLayer:
         self._first_keys = np.empty(0, dtype=np.uint64)
         self._upper_span = None
         self._version = 0
-        self._snapshot: LayerSnapshot | None = None
-        self._snapshot_stamp: tuple[int, int] | None = None
         self._geo_cache: tuple | None = None
+        self._keys = np.zeros(0, dtype=np.uint64)
+        self._state = np.zeros(0, dtype=np.uint8)
+        self._tail = 0  # first slot of the store no region owns
+        self._store_lock = threading.Lock()
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -392,17 +344,20 @@ class LearnedLayer:
         """GPL-partition sorted keys into models; returns (layer, conflicts)."""
         keys = np.asarray(keys, dtype=np.uint64)
         layer = cls(memory, tag, gap)
-        if len(keys) == 0:
-            layer._rebuild_upper()
-            return layer, []
         segments = gpl_partition(keys, epsilon)
+        layer.models = [
+            layer._new_model_for(seg, keys[seg.start : seg.end]) for seg in segments
+        ]
+        total = sum(m.n_slots for m in layer.models)
+        layer._keys = np.zeros(total, dtype=np.uint64)
+        layer._state = np.zeros(total, dtype=np.uint8)
         conflicts: list[tuple[int, object]] = []
-        for seg in segments:
-            seg_keys = keys[seg.start : seg.end]
-            seg_vals = values[seg.start : seg.end]
-            model = layer._new_model_for(seg, seg_keys)
-            conflicts.extend(model.place_bulk(seg_keys, seg_vals))
-            layer.models.append(model)
+        for seg, model in zip(segments, layer.models):
+            layer._bind(model, layer._tail)
+            layer._tail += model.n_slots
+            conflicts.extend(
+                model.place_bulk(keys[seg.start : seg.end], values[seg.start : seg.end])
+            )
         layer._rebuild_upper()
         return layer, conflicts
 
@@ -429,7 +384,9 @@ class LearnedLayer:
         if self.models and first_key <= self.models[-1].first_key:
             raise KeysNotSortedError("overflow model must extend the key range")
         model = GPLModel(first_key, slope_eff, max(n_slots, 2), self._memory, self._tag)
-        self.models.append(model)
+        with self._store_lock:
+            self.models.append(model)
+            self._store(model)
         self._rebuild_upper()
         return model
 
@@ -437,71 +394,97 @@ class LearnedLayer:
         """Swap in an expanded model (same first_key, new geometry)."""
         old = self.models[index]
         new_model.fast_index = old.fast_index
-        self.models[index] = new_model
-        self._version += 1
+        with self._store_lock:
+            self.models[index] = new_model
+            self._store(new_model)
         old.free()
 
+    # -- the slot store (callers hold _store_lock) -----------------------------
+    def _bind(self, model: GPLModel, offset: int) -> None:
+        """Point ``model``'s mirrors at the store region at ``offset``."""
+        end = offset + model.n_slots
+        model.offset = offset
+        model.np_keys = self._keys[offset:end]
+        model.np_state = self._state[offset:end]
+        model.store_lock = self._store_lock
+
+    def _store(self, model: GPLModel) -> None:
+        """Copy a newly listed model's mirrors to a region at the tail."""
+        start, end = self._tail, self._tail + model.n_slots
+        if end > len(self._keys):
+            self._repack()  # ``model`` is listed, so this places it too
+            return
+        self._keys[start:end] = model.np_keys
+        self._state[start:end] = model.np_state
+        self._bind(model, start)
+        self._tail = end
+        self._version += 1
+
+    def _repack(self) -> None:
+        """Move every listed model into fresh arrays twice the live size."""
+        live = sum(m.n_slots for m in self.models)
+        self._keys = np.zeros(2 * live, dtype=np.uint64)
+        self._state = np.zeros(2 * live, dtype=np.uint8)
+        self._tail = 0
+        for m in self.models:
+            keys, state = m.np_keys, m.np_state
+            self._bind(m, self._tail)
+            m.np_keys[:] = keys
+            m.np_state[:] = state
+            self._tail += m.n_slots
+        self._version += 1
+
     # -- batch probing (vectorized Algorithm 2, lines 2-4) ---------------------
-    def snapshot(self) -> LayerSnapshot:
-        """Current :class:`LayerSnapshot`, rebuilt only after mutations."""
-        stamp = (self._version, sum(m.mutations for m in self.models))
-        if self._snapshot is None or self._snapshot_stamp != stamp:
-            self._snapshot = LayerSnapshot(self)
-            self._snapshot_stamp = stamp
-        return self._snapshot
+    def _geometry(self) -> tuple:
+        """``(version, slopes, n_slots, offsets, store_keys, store_state)``.
 
-    def _geometry(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-model ``(version, slopes, n_slots, offsets)`` arrays.
-
-        Cached per structural version: slot writes never change model
-        geometry, so — unlike :meth:`snapshot` — a mutating batch does
-        not invalidate this cache.
+        Cached per structural version.  Slot writes change neither model
+        geometry nor the store arrays, so a mutating batch does not
+        invalidate it.  The tuple is taken under the store lock, so its
+        offsets always index its own arrays.
         """
         geo = self._geo_cache
         if geo is None or geo[0] != self._version:
-            n_slots = np.array([m.n_slots for m in self.models], dtype=np.int64)
-            slopes = np.array([m.slope_eff for m in self.models], dtype=np.float64)
-            offsets = np.zeros(len(self.models), dtype=np.int64)
-            if len(self.models) > 1:
-                np.cumsum(n_slots[:-1], out=offsets[1:])
-            geo = self._geo_cache = (self._version, slopes, n_slots, offsets)
+            with self._store_lock:
+                models = self.models
+                geo = self._geo_cache = (
+                    self._version,
+                    np.array([m.slope_eff for m in models], dtype=np.float64),
+                    np.array([m.n_slots for m in models], dtype=np.int64),
+                    np.array([m.offset for m in models], dtype=np.int64),
+                    self._keys,
+                    self._state,
+                )
         return geo
 
     def probe_live(
         self, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized Algorithm-2 probe against the *live* slot mirrors.
+        """Vectorized Algorithm-2 probe against the live slot store.
 
-        Same semantics as :meth:`LayerSnapshot.probe` plus a flat slot
-        id, but state/resident are gathered per touched model straight
-        from ``np_state``/``np_keys`` — O(batch + touched models) with
-        no snapshot rebuild, which is what keeps mutating batch ops
-        (``batch_insert``/``batch_remove``) profitable: every slot
-        write would otherwise invalidate the O(total slots) snapshot.
+        Routes the batch with one ``searchsorted`` over the first keys,
+        predicts every slot with one vectorized multiply, then gathers
+        state and resident key at ``offsets[model] + slot`` — bit-identical
+        to per-key ``route`` + ``slot_of`` + ``read_slot`` on a quiescent
+        layer, in O(batch) with no per-model work.
 
         Returns ``(model_idx, slot, flat_slot, state, resident_key)``.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        _, slopes, n_slots, offsets = self._geometry()
+        _, slopes, n_slots, offsets, store_keys, store_state = self._geometry()
         fks = self._first_keys
         midx = np.searchsorted(fks, keys, side="right").astype(np.int64) - 1
         np.clip(midx, 0, None, out=midx)
         fk = fks[midx]
         rel = keys - fk  # exact uint64 subtraction, as slot_of() does
         rel[keys < fk] = 0  # keys left of model 0 clamp to slot 0
-        slots = (slopes[midx] * rel.astype(np.float64)).astype(np.int64)
-        np.clip(slots, 0, n_slots[midx] - 1, out=slots)
-        state = np.empty(len(keys), dtype=np.uint8)
-        resident = np.empty(len(keys), dtype=np.uint64)
-        order = np.argsort(midx, kind="stable")
-        sorted_mi = midx[order]
-        bounds = np.flatnonzero(sorted_mi[1:] != sorted_mi[:-1]) + 1
-        for grp in np.split(order, bounds):
-            m = self.models[int(midx[grp[0]])]
-            sl = slots[grp]
-            state[grp] = m.np_state[sl]
-            resident[grp] = m.np_keys[sl]
-        return midx, slots, offsets[midx] + slots, state, resident
+        # Clamp before the integer cast: a far key's product can exceed
+        # int64, where the cast is undefined (slot_of clamps exactly).
+        pos = slopes[midx] * rel.astype(np.float64)
+        np.minimum(pos, n_slots[midx] - 1, out=pos)
+        slots = pos.astype(np.int64)
+        flat = offsets[midx] + slots
+        return midx, slots, flat, store_state[flat], store_keys[flat]
 
     # -- routing (the "upper model") -----------------------------------------
     def route(self, key: int) -> tuple[int, GPLModel]:
@@ -577,7 +560,9 @@ class LearnedLayer:
             else:
                 buf = m.expansion.buffer
                 buf_lo = buf.slot_of(lo) if lo >= buf.first_key else 0
-                source = _merge_sorted(m.iter_slots(lo_slot), buf.iter_slots(buf_lo))
+                source = heapq.merge(
+                    m.iter_slots(lo_slot), buf.iter_slots(buf_lo), key=itemgetter(0)
+                )
             for k, v in source:
                 if k > hi:
                     return

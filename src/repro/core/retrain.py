@@ -45,6 +45,10 @@ class ExpansionBuffer:
             tag,
         )
         self.buffer.last_key = model.last_key
+        # The layer adopts the buffer by copying its mirrors; sharing the
+        # layer's store lock from birth keeps no mirror store in flight
+        # during that copy.
+        self.buffer.store_lock = model.store_lock
         self.inserted = 0
 
     def absorb(self, key: int, value, spill: SpillFn) -> bool:
@@ -133,7 +137,11 @@ class ExpansionBuffer:
                     spill(key, value)
                 continue
             self.buffer.write_slot(slot, key, value)
-        self.buffer.build_size = self.buffer.occupancy()
+        # A quarter of the slots floors the next expansion trigger: a
+        # model whose keys crowd a few slots of a wide span would
+        # otherwise double again after a handful of conflicts, and its
+        # slot count would grow without bound in the inserts it takes.
+        self.buffer.build_size = max(self.buffer.occupancy(), self.buffer.n_slots // 4)
         self.buffer.insert_count = 0
         return self.buffer
 

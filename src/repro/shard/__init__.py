@@ -5,7 +5,7 @@
   scatter-gather batching.
 - :mod:`repro.shard.partitioner` — learned CDF-balanced range splits
   and splitmix64 hash partitioning.
-- :mod:`repro.shard.lanes` — per-shard background retrain/epoch lanes.
+- :mod:`repro.shard.lanes` — per-shard background retrain lanes.
 """
 
 from repro.shard.lanes import ShardLane

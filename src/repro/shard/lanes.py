@@ -1,12 +1,10 @@
 """Per-shard background maintenance lanes.
 
 Each shard of a :class:`~repro.shard.sharded.ShardedALTIndex` gets its
-own :class:`ShardLane`: an independent retrain/epoch domain that pumps
-the shard's deferred maintenance — finishing complete §III-F expansions
-(:meth:`repro.core.alt_index.ALTIndex.maintenance`) and advancing the
-lane's :class:`~repro.concurrency.epoch.EpochManager` so retired objects
-in this shard's reclamation domain drain independently of every other
-shard's readers.
+own :class:`ShardLane`, which pumps the shard's deferred maintenance:
+finishing complete §III-F expansions
+(:meth:`repro.core.alt_index.ALTIndex.maintenance`) independently of
+every other shard.
 
 A lane runs two ways:
 
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.concurrency.epoch import EpochManager
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
 
@@ -35,34 +32,30 @@ __all__ = ["ShardLane"]
 
 
 class ShardLane:
-    """One shard's background retrain/epoch maintenance lane."""
+    """One shard's background retrain maintenance lane."""
 
-    def __init__(self, shard_id: int, index, epoch: EpochManager | None = None) -> None:
+    def __init__(self, shard_id: int, index) -> None:
         self.shard_id = shard_id
         self.index = index
         self.name = f"shard-lane-{shard_id}"
-        #: this shard's reclamation domain; index code may retire
-        #: replaced structures into it, the lane drives the advances
-        self.epoch = epoch or EpochManager()
         self.pumps = 0
         self.expansions_finished = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
     def pump(self) -> dict:
-        """One maintenance pass: finish expansions, advance the epoch."""
+        """One maintenance pass: finish the shard's complete expansions."""
         obs_recorder.record("lane", self.name)
         finished = 0
         maintenance = getattr(self.index, "maintenance", None)
         if maintenance is not None:
             finished = maintenance()
-        advanced = self.epoch.try_advance()
         self.pumps += 1
         obs_metrics.inc("shard.lane_pumps")
         if finished:
             self.expansions_finished += finished
             obs_metrics.inc("shard.lane_expansions", finished)
-        return {"lane": self.name, "finished": finished, "advanced": advanced}
+        return {"lane": self.name, "finished": finished}
 
     # -- threaded mode ---------------------------------------------------
 
@@ -89,4 +82,3 @@ class ShardLane:
         self._thread.join()
         self._thread = None
         self.pump()  # final synchronous pass: nothing left behind
-        self.epoch.drain()

@@ -9,9 +9,9 @@ docs/API.md states two invariants for the vectorized batch layer:
    the same aggregate CostTrace totals as the scalar loop.
 
 These tests drive both through mutation sequences chosen to hit the
-fast-path invalidation machinery: ALT-index snapshot stamps and the
-cached ART view, ALEX+/B+tree flat views across splits, and ALT-index
-expansion buffers (batch lookups during and after a retrain).
+fast-path view machinery: the ALT-index slot store and cached ART view,
+ALEX+/B+tree flat views across splits, and ALT-index expansion buffers
+(batch lookups during and after a retrain).
 """
 
 import numpy as np
@@ -256,15 +256,21 @@ class TestALTBatchInternals:
         probe = np.concatenate([base[:500], np.array(inserted[:1500], dtype=np.uint64)])
         assert idx.batch_get(probe) == scalar_gets(idx, probe)
 
-    def test_snapshot_invalidation_on_slot_change(self, rng):
+    def test_far_key_clamps_to_last_slot(self):
+        """A key whose predicted slot overflows int64 clamps to the
+        model's last slot in the batch probe, as ``slot_of`` does."""
+        idx = ALTIndex.bulk_load(np.empty(0, dtype=np.uint64), memory=MemoryMap())
+        idx.insert(1, "a")
+        idx.insert(2**63 + 5, "b")
+        keys = np.array([1, 2**63 + 5], dtype=np.uint64)
+        assert idx.batch_get(keys) == scalar_gets(idx, keys) == ["a", "b"]
+
+    def test_batch_get_sees_slot_tombstone(self, rng):
         keys = np.sort(rng.choice(2**40, size=3_000, replace=False).astype(np.uint64))
         idx = ALTIndex.bulk_load(keys, memory=MemoryMap())
-        snap1 = idx._layer.snapshot()
-        assert idx._layer.snapshot() is snap1  # cached while unchanged
+        assert idx.batch_get(keys[:1]) == scalar_gets(idx, keys[:1]) != [None]
         # Removing a learned-resident key always tombstones its slot.
         assert idx.remove(int(keys[0]))
-        snap2 = idx._layer.snapshot()
-        assert snap2 is not snap1
         assert idx.batch_get(keys[:1]) == [None]
 
 

@@ -213,3 +213,168 @@ class TestOverflowAndReplace:
         layer.replace_model(0, new)
         assert layer.models[0] is new
         assert new.fast_index == 7
+
+
+def assert_probe_matches_scalar(layer, keys):
+    """``probe_live`` equals per-key route + slot_of + read_slot."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    midx, slots, flat, state, resident = layer.probe_live(keys)
+    for j, k in enumerate(keys.tolist()):
+        i, m = layer.route(k)
+        s = m.slot_of(k)
+        st, rk, _ = m.read_slot(s)
+        assert (int(midx[j]), int(slots[j]), int(state[j])) == (i, s, st), k
+        assert int(resident[j]) == (0 if rk is None else rk), k
+        assert int(flat[j]) == m.offset + s
+
+
+def assert_mirrors_match_lists(layer):
+    """Every model's store region mirrors its authoritative slot lists."""
+    for m in layer.models:
+        state = [
+            FULL if occ and k is not None else TOMBSTONE if occ else EMPTY
+            for k, occ in zip(m.keys, m.occupied)
+        ]
+        assert m.np_state.tolist() == state
+        assert m.np_keys.tolist() == [0 if k is None else k for k in m.keys]
+        assert np.shares_memory(m.np_keys, layer._keys)
+        assert np.shares_memory(m.np_state, layer._state)
+
+
+def force_repack(layer):
+    with layer._store_lock:
+        layer._repack()
+
+
+class TestSlotStore:
+    """One flat key/state store per layer, gathered by ``probe_live``."""
+
+    @staticmethod
+    def probe_mix(keys, rng):
+        absent = rng.choice(2**50, size=500).astype(np.uint64)
+        edges = np.array([0, 2**64 - 1], dtype=np.uint64)
+        return np.concatenate([keys[::7], absent, edges])
+
+    def test_bulk_build_lays_models_end_to_end(self, sorted_keys, rng):
+        layer, _ = build_layer(sorted_keys)
+        offsets = [m.offset for m in layer.models]
+        assert offsets[0] == 0
+        assert offsets[1:] == [m.offset + m.n_slots for m in layer.models[:-1]]
+        assert len(layer._keys) == layer.total_slots()
+        assert_mirrors_match_lists(layer)
+        assert_probe_matches_scalar(layer, self.probe_mix(sorted_keys, rng))
+
+    def test_ascending_overflow_appends(self, sorted_keys, rng):
+        layer, _ = build_layer(sorted_keys)
+        first = int(sorted_keys[-1]) + 1
+        for _ in range(40):
+            m = layer.append_overflow_model(first, 1.0, 16)
+            for s in (0, 5, 15):
+                m.write_slot(s, first + s, s)
+            m.clear_slot(5)
+            first += 16
+        assert_mirrors_match_lists(layer)
+        appended = np.arange(int(sorted_keys[-1]) + 1, first, dtype=np.uint64)
+        probe = np.concatenate([self.probe_mix(sorted_keys, rng), appended])
+        assert_probe_matches_scalar(layer, probe)
+
+    def test_expansions_and_forced_repack(self, rng):
+        from repro.core.alt_index import ALTIndex
+
+        base = np.sort(rng.choice(2**45, size=4_000, replace=False).astype(np.uint64))
+        extra = rng.choice(2**45, size=12_000, replace=False).astype(np.uint64)
+        idx = ALTIndex.bulk_load(base, memory=MemoryMap())
+        layer = idx._layer
+        for k in extra.tolist():
+            idx.insert(k, k)
+        for k in base[::3].tolist():
+            idx.remove(k)
+        assert idx.expansions > 0
+        # Open expansions merge the model's slots with its buffer's.
+        assert any(m.expansion is not None for m in layer.models)
+        live = (set(base.tolist()) | set(extra.tolist())) - set(base[::3].tolist())
+        assert [k for k, _ in idx.range_query(0, 2**64 - 1)] == sorted(live)
+        probe = np.concatenate([base[::5], extra[::5], self.probe_mix(base, rng)])
+        assert_mirrors_match_lists(layer)
+        assert_probe_matches_scalar(layer, probe)
+        store, version = layer._keys, layer._version
+        force_repack(layer)
+        assert layer._keys is not store and layer._version != version
+        assert len(layer._keys) == 2 * sum(m.n_slots for m in layer.models)
+        assert_mirrors_match_lists(layer)
+        assert_probe_matches_scalar(layer, probe)
+
+    def test_replace_drops_dead_region_at_repack(self, sorted_keys):
+        layer, _ = build_layer(sorted_keys)
+        old = layer.models[3]
+        new = GPLModel(old.first_key, old.slope_eff * 2, old.n_slots * 2, MemoryMap(), "t")
+        new.write_slot(1, old.first_key + 1, "v")
+        layer.replace_model(3, new)
+        # The store was sized exactly at load, so the swap repacked it.
+        assert len(layer._keys) == 2 * layer.total_slots()
+        assert new.np_state[1] == FULL and new.np_keys[1] == old.first_key + 1
+        assert_mirrors_match_lists(layer)
+
+    @pytest.mark.slow
+    def test_mirrors_survive_concurrent_region_moves(self, rng):
+        """Writers insert and remove while another thread drives
+        expansions and repacks; no mirror store may land in a retired
+        array."""
+        import sys
+        import threading
+
+        from repro.core.alt_index import ALTIndex
+
+        keys = np.sort(rng.choice(2**40, size=24_000, replace=False).astype(np.uint64))
+        # A loose error bound makes few, large models: long region copies,
+        # and each writer keeps hitting the model a repack is moving.
+        idx = ALTIndex.bulk_load(keys[::2].copy(), epsilon=1000, memory=MemoryMap())
+        layer = idx._layer
+        # Split the fresh keys by model, so no two threads share a
+        # model's expansion: two writers and the mover.
+        fresh = keys[1::2]
+        owner = layer.probe_live(fresh)[0] % 3
+        thirds = [fresh[owner == 0].tolist(), fresh[owner == 1].tolist()]
+        mover_keys = fresh[owner == 2].tolist()
+        errors: list[BaseException] = []
+
+        def writer(chunk):
+            try:
+                for j, k in enumerate(chunk):
+                    idx.insert(k, k)
+                    if j % 3 == 0:
+                        idx.remove(k)
+            except BaseException as e:  # pragma: no cover - reported below
+                errors.append(e)
+
+        def mover_loop():
+            # Repack after every insert until the writers finish.
+            pending = iter(mover_keys)
+            try:
+                while not writers_done.is_set():
+                    k = next(pending, None)
+                    if k is not None:
+                        idx.insert(k, k)
+                    force_repack(layer)
+            except BaseException as e:  # pragma: no cover - reported below
+                errors.append(e)
+
+        writers_done = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            writers = [threading.Thread(target=writer, args=(c,)) for c in thirds]
+            mover = threading.Thread(target=mover_loop)
+            for t in [mover, *writers]:
+                t.start()
+            for t in writers:
+                t.join()
+            writers_done.set()
+            mover.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert idx.expansions > 0
+        assert_mirrors_match_lists(layer)
+        probe = keys[::3]
+        assert idx.batch_get(probe) == [idx.get(int(k)) for k in probe]

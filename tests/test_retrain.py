@@ -105,7 +105,7 @@ class TestExpansionBuffer:
             assert int(k) in resident or exp.buffer is not new_model
         assert 2 in resident
         assert new_model.insert_count == 0
-        assert new_model.build_size == new_model.occupancy()
+        assert new_model.build_size == max(new_model.occupancy(), new_model.n_slots // 4)
 
     def test_update_and_remove_in_buffer(self, mem):
         m, _ = make_model(mem)
@@ -150,3 +150,30 @@ class TestFinishExpansion:
         # old resident keys survive the swap
         resident = {k for k, _ in new_model.iter_slots()}
         assert 1 in resident
+
+
+class TestExpansionGrowth:
+    def test_slots_stay_proportional_to_routed_keys(self):
+        """Ascending inserts into sparse osm models must not run away.
+
+        A model with a few keys over a wide span seats only a handful of
+        clustered inserts per expansion; if the next trigger were that
+        occupancy, every few conflicts would double its slots again.
+        """
+        from repro.core.alt_index import ALTIndex
+        from repro.datasets.generators import dataset
+
+        keys = dataset("osm", 60_000, seed=1)
+        mask = np.zeros(len(keys), dtype=bool)
+        mask[np.random.default_rng(0).choice(len(keys), len(keys) // 2, replace=False)] = True
+        idx = ALTIndex.bulk_load(keys[mask], memory=MemoryMap())
+        layer = idx._layer
+        at_load = {m.first_key: m.n_slots for m in layer.models}
+        for k in np.sort(keys[~mask]).tolist():
+            idx.insert(k, k)
+        assert idx.expansions > 0
+        first = np.array([m.first_key for m in layer.models], dtype=np.uint64)
+        owner = np.clip(np.searchsorted(first, keys, side="right") - 1, 0, None)
+        routed = np.bincount(owner, minlength=len(first)).tolist()
+        for m, r in zip(layer.models, routed):
+            assert m.n_slots <= 8 * max(at_load[m.first_key], r), (m, r)
