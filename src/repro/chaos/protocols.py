@@ -580,7 +580,8 @@ def build_retrain_case(
     and swaps the buffer in as the live model
     (:func:`repro.core.retrain.finish_expansion` order: migrate *then*
     swap).  Mutating paths — absorbs and the finish — serialize through
-    a cooperative writer mutex, mirroring the maintenance path; readers
+    a cooperative writer mutex, mirroring the paper's serialized
+    absorb-then-finish handoff; readers
     are optimistic: expansion buffer first, then the published model,
     then the spill map.
 

@@ -125,12 +125,12 @@ def _model_health(
     }
 
 
-def sample_health(index, epoch=None, max_models: int = 32) -> dict:
+def sample_health(index, max_models: int = 32) -> dict:
     """One health snapshot of an :class:`~repro.core.alt_index.ALTIndex`.
 
     At most ``max_models`` models are drift-sampled (evenly strided);
-    occupancy/spill aggregates always cover the whole index.  ``epoch``
-    defaults to the index's ART epoch manager.  Publishes the
+    occupancy/spill aggregates always cover the whole index; the epoch
+    figures come from the index's ART epoch manager.  Publishes the
     ``health.*`` gauges when a metrics registry is active.
     """
     from repro.core.learned_layer import FULL, TOMBSTONE
@@ -215,8 +215,7 @@ def sample_health(index, epoch=None, max_models: int = 32) -> dict:
     else:
         snapshot["fast_pointers"] = None
 
-    if epoch is None:
-        epoch = getattr(index.art, "epoch", None)
+    epoch = getattr(index.art, "epoch", None)
     if epoch is not None:
         snapshot["epoch"] = {"pending": epoch.pending(), "lag": epoch.lag()}
     else:
@@ -369,14 +368,12 @@ class HealthMonitor:
         self,
         index,
         interval: int = 2048,
-        epoch=None,
         max_models: int = 32,
         doctor: IndexDoctor | None = None,
         history: int = 16,
     ):
         self.index = index
         self.interval = interval
-        self.epoch = epoch
         self.max_models = max_models
         self.doctor = doctor if doctor is not None else IndexDoctor()
         self.reports: deque[HealthReport] = deque(maxlen=history)
@@ -388,9 +385,7 @@ class HealthMonitor:
         return self.reports[-1] if self.reports else None
 
     def sample(self) -> HealthReport:
-        snapshot = sample_health(
-            self.index, epoch=self.epoch, max_models=self.max_models
-        )
+        snapshot = sample_health(self.index, max_models=self.max_models)
         report = self.doctor.examine(snapshot)
         self.reports.append(report)
         self.samples += 1

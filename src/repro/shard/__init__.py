@@ -5,16 +5,13 @@
   scatter-gather batching.
 - :mod:`repro.shard.partitioner` — learned CDF-balanced range splits
   and splitmix64 hash partitioning.
-- :mod:`repro.shard.lanes` — per-shard background retrain lanes.
 """
 
-from repro.shard.lanes import ShardLane
 from repro.shard.partitioner import HashPartitioner, RangePartitioner, make_partitioner
 from repro.shard.sharded import ShardedALTIndex
 
 __all__ = [
     "ShardedALTIndex",
-    "ShardLane",
     "RangePartitioner",
     "HashPartitioner",
     "make_partitioner",

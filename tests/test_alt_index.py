@@ -308,11 +308,15 @@ class TestConcurrentALT:
         rest = [int(k) for k in sorted_keys[1::2]]
         idx = ALTIndex.bulk_load(half, memory=MemoryMap())
         errors = []
+        writer_errors: list[BaseException] = []
         stop = threading.Event()
 
         def writer(chunk):
-            for k in chunk:
-                idx.insert(k, k)
+            try:
+                for k in chunk:
+                    idx.insert(k, k)
+            except BaseException as exc:  # surfaced after join
+                writer_errors.append(exc)
 
         def reader():
             import random
@@ -335,6 +339,7 @@ class TestConcurrentALT:
         stop.set()
         for t in readers:
             t.join()
+        assert not writer_errors, writer_errors
         assert not errors
         for k in rest[::13]:
             assert idx.get(k) == k

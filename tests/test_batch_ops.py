@@ -28,6 +28,7 @@ from repro.baselines import (
 from repro.baselines.rmi import TwoStageRMI
 from repro.common import BatchIndex
 from repro.core.alt_index import ALTIndex
+from repro.obs.metrics import metrics_registry
 from repro.sim.trace import MemoryMap, tracer
 
 pytestmark = pytest.mark.batch
@@ -239,6 +240,23 @@ class TestALTBatchInternals:
         assert batched.writebacks >= 0  # may be 0 if slots stayed occupied
         # Repatriated keys now answer from the learned layer.
         assert batched.batch_get(probe) == scalar_gets(batched, probe)
+
+    def test_writeback_metric_matches_counter(self, sorted_keys):
+        """Every batch write-back reaches the ``alt.writebacks`` metric,
+        as the scalar ``get`` write-back does."""
+        idx = ALTIndex.bulk_load(sorted_keys, memory=MemoryMap())
+        victims = [int(k) for k in sorted_keys[10:40]]
+        for k in victims:
+            idx.remove(k)
+            idx.insert(k, k * 2)  # tombstoned slot: the key lands in ART
+        wb0 = idx.writebacks
+        with metrics_registry() as reg:
+            assert idx.batch_get(np.array(victims, dtype=np.uint64)) == [
+                k * 2 for k in victims
+            ]
+        delta = idx.writebacks - wb0
+        assert delta > 0
+        assert reg.snapshot()["counters"].get("alt.writebacks", 0) == delta
 
     def test_after_expansion(self, rng):
         """Batch equivalence must survive retraining (expansion buffers)."""

@@ -13,14 +13,12 @@ Acceptance (ISSUE 10):
    exactly on present keys.
 3. **Chaos schedules** — the ``shard`` protocol case is registered in
    ``RUNNERS`` (clean schedules linearizable, the planted shared-gather
-   mutant detected and replayable), and the flight recorder labels
-   per-shard maintenance lanes distinctly.
+   mutant detected and replayable).
 4. **Observatory** — the recorded ``BENCH_10.json`` carries sharded and
    unsharded scaling points and stays comparable against ``BENCH_8``.
 """
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -34,7 +32,6 @@ from repro.chaos.protocols import (
     run_shard_batch_schedule,
 )
 from repro.core.alt_index import ALTIndex
-from repro.obs.recorder import FlightRecorder, flight_recorder
 from repro.shard import (
     HashPartitioner,
     RangePartitioner,
@@ -297,37 +294,6 @@ class TestShardChaos:
         replay = run_shard_batch_schedule(report.seed, planted=True)
         assert replay.fingerprint == report.fingerprint
         assert not replay.ok
-
-    def test_flight_recorder_labels_lane_rings_distinctly(self):
-        """Each shard's maintenance lane must own its own labelled ring —
-        a postmortem that merges lanes cannot say *which* shard stalled."""
-        universe = _universe(21, size=512)
-        idx = ShardedALTIndex.bulk_load(universe, shards=3)
-        rec = FlightRecorder()
-        with flight_recorder(rec):
-            idx.start_lanes(interval=0.001)
-            deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline:
-                if all(lane.pumps > 0 for lane in idx.lanes):
-                    break
-                time.sleep(0.005)
-            idx.stop_lanes()
-        threads = rec.threads()
-        for lane in idx.lanes:
-            assert lane.name in threads, f"no ring for {lane.name}"
-            events = threads[lane.name]
-            assert events, f"empty ring for {lane.name}"
-            # Every event in the lane's ring names that lane, no other.
-            lane_events = [e for e in events if e["kind"] == "lane"]
-            assert lane_events
-            assert {e["name"] for e in lane_events} == {lane.name}
-
-    def test_synchronous_pump_counts(self):
-        universe = _universe(22, size=256)
-        idx = ShardedALTIndex.bulk_load(universe, shards=2)
-        reports = idx.pump_lanes()
-        assert [r["lane"] for r in reports] == ["shard-lane-0", "shard-lane-1"]
-        assert idx.stats()["lane_pumps"] == 2
 
 
 class TestObservatory:
